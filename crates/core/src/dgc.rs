@@ -212,8 +212,8 @@ pub(crate) fn dispatch_gc(
                     "clean batch repeats an object index",
                 )));
             }
-            // Each clean applies under its own entry's shard lock; the
-            // batch is transport-level batching, not an atomic group.
+            // Each clean is its own critical section on the export table;
+            // the batch is transport-level batching, not an atomic group.
             let exports = &space.inner.table.exports;
             let outcomes: Vec<(u64, u64, bool, CleanOutcome)> = entries
                 .iter()
@@ -482,11 +482,11 @@ pub(crate) fn import_ref(
     if space.inner.options.fifo_variant && cx.is_some() {
         return import_ref_fifo(space, wirerep, owner_ep, types, cx);
     }
-    // All state for `wirerep` lives in one import shard; its condvar
-    // signals slot transitions to the waits below.
-    let shard = space.inner.table.imports.shard(&wirerep);
+    // The import table's condvar signals slot transitions to the waits
+    // below.
+    let table = &space.inner.table.imports;
     loop {
-        let mut imports = shard.map.lock();
+        let mut imports = table.map.lock();
         match imports.get_mut(&wirerep) {
             None => {
                 // ⊥ → nil: create the slot, then register with the owner.
@@ -513,7 +513,7 @@ pub(crate) fn import_ref(
                     .inner
                     .stats
                     .add_blocked(clock.now().saturating_duration_since(t0));
-                let mut imports = shard.map.lock();
+                let mut imports = table.map.lock();
                 let Some(slot) = imports.get_mut(&wirerep) else {
                     // Space raced shutdown; nothing to clean locally.
                     return Err(Error::SpaceStopped);
@@ -541,7 +541,7 @@ pub(crate) fn import_ref(
                             target: wirerep,
                             epoch: core.epoch,
                         });
-                        shard.cv.notify_all();
+                        table.cv.notify_all();
                         return Ok(Handle(HandleKind::Remote(core)));
                     }
                     Err(e) => {
@@ -554,7 +554,7 @@ pub(crate) fn import_ref(
                         if drop_now {
                             imports.remove(&wirerep);
                         }
-                        shard.cv.notify_all();
+                        table.cv.notify_all();
                         drop(imports);
                         if e.is_ambiguous() {
                             enqueue(
@@ -641,11 +641,11 @@ pub(crate) fn import_ref(
                             // auto-advance move time to the deadline.
                             let timeout = match clock.as_virtual() {
                                 Some(vc) => {
-                                    shard.cv.wait_for(&mut imports, Duration::from_millis(1));
+                                    table.cv.wait_for(&mut imports, Duration::from_millis(1));
                                     vc.maybe_auto_advance();
                                     clock.now() >= deadline
                                 }
-                                None => shard.cv.wait_until(&mut imports, deadline).timed_out(),
+                                None => table.cv.wait_until(&mut imports, deadline).timed_out(),
                             };
                             match imports.get_mut(&wirerep) {
                                 None => break WaitOutcome::Gone,
@@ -755,7 +755,7 @@ fn import_ref_fifo(
     types: TypeList,
     cx: Option<&mut UnmarshalCx<'_, '_>>,
 ) -> NetResult<Handle> {
-    let mut imports = space.inner.table.imports.shard(&wirerep).map.lock();
+    let mut imports = space.inner.table.imports.map.lock();
     let slot = imports.entry(wirerep).or_insert_with(|| ImportSlot {
         owner_ep: owner_ep.clone(),
         types: types.clone(),
@@ -966,7 +966,7 @@ fn cleanup_loop(
 /// the clean to send, or `None` for stale notices.
 fn begin_cleanup(space: &Space, wirerep: WireRep, epoch: u64) -> Option<CleanIntent> {
     let owner_ep = {
-        let mut imports = space.inner.table.imports.shard(&wirerep).map.lock();
+        let mut imports = space.inner.table.imports.map.lock();
         match imports.get_mut(&wirerep) {
             Some(slot)
                 if slot.epoch == epoch
@@ -1008,8 +1008,8 @@ fn do_async_dirty(
             // slot failed so future imports retry, and send a strong
             // clean if the dirty may have landed.
             {
-                let shard = space.inner.table.imports.shard(&wirerep);
-                let mut imports = shard.map.lock();
+                let table = &space.inner.table.imports;
+                let mut imports = table.map.lock();
                 if let Some(slot) = imports.get_mut(&wirerep) {
                     if slot.weak.upgrade().is_none() {
                         imports.remove(&wirerep);
@@ -1125,8 +1125,8 @@ fn clean_failed(
         // every other surrogate into that space so calls fail fast instead
         // of each burning a full timeout.
         space.mark_owner_dead(intent.wirerep.space);
-        let shard = space.inner.table.imports.shard(&intent.wirerep);
-        let mut imports = shard.map.lock();
+        let table = &space.inner.table.imports;
+        let mut imports = table.map.lock();
         if let Some(slot) = imports.get_mut(&intent.wirerep) {
             slot.failed = true;
             let no_waiters = slot.waiters == 0;
@@ -1135,7 +1135,7 @@ fn clean_failed(
             }
         }
         drop(imports);
-        shard.cv.notify_all();
+        table.cv.notify_all();
     }
 }
 
@@ -1200,14 +1200,14 @@ fn handle_clean_ack(space: &Space, wirerep: WireRep) {
         Nothing,
         Redirty { owner_ep: Endpoint },
     }
-    let shard = space.inner.table.imports.shard(&wirerep);
+    let table = &space.inner.table.imports;
     let next = {
-        let mut imports = shard.map.lock();
+        let mut imports = table.map.lock();
         match imports.get_mut(&wirerep) {
             // ccit → ⊥: the reference's life ends here.
             Some(slot) if slot.state == ImportState::CleanWait => {
                 imports.remove(&wirerep);
-                shard.cv.notify_all();
+                table.cv.notify_all();
                 Next::Nothing
             }
             // ccitnil → nil: a copy arrived while the clean was in
@@ -1225,7 +1225,7 @@ fn handle_clean_ack(space: &Space, wirerep: WireRep) {
     if let Next::Redirty { owner_ep } = next {
         let seqno = space.next_gc_seqno();
         let result = send_dirty(space, wirerep, &owner_ep, seqno);
-        let mut imports = shard.map.lock();
+        let mut imports = table.map.lock();
         let Some(slot) = imports.get_mut(&wirerep) else {
             return;
         };
@@ -1242,7 +1242,7 @@ fn handle_clean_ack(space: &Space, wirerep: WireRep) {
                     let epoch = slot.epoch;
                     drop(imports);
                     enqueue(space, GcJob::Unreachable { wirerep, epoch });
-                    shard.cv.notify_all();
+                    table.cv.notify_all();
                     return;
                 }
             }
@@ -1263,12 +1263,12 @@ fn handle_clean_ack(space: &Space, wirerep: WireRep) {
                             attempts: 0,
                         },
                     );
-                    shard.cv.notify_all();
+                    table.cv.notify_all();
                     return;
                 }
             }
         }
-        shard.cv.notify_all();
+        table.cv.notify_all();
     }
 }
 
@@ -1358,18 +1358,16 @@ fn ping_loop(weak: Weak<SpaceInner>, clock: ClockHandle) {
             // Client role: renew live surrogates.
             if clock.now().saturating_duration_since(last_renew) >= lease / 3 {
                 last_renew = clock.now();
-                let mut live: Vec<(WireRep, Endpoint)> = Vec::new();
-                for import_shard in space.inner.table.imports.shards() {
-                    let imports = import_shard.map.lock();
-                    live.extend(
-                        imports
-                            .iter()
-                            .filter(|(_, s)| {
-                                s.state == ImportState::Live && s.weak.upgrade().is_some()
-                            })
-                            .map(|(w, s)| (*w, s.owner_ep.clone())),
-                    );
-                }
+                let live: Vec<(WireRep, Endpoint)> = space
+                    .inner
+                    .table
+                    .imports
+                    .map
+                    .lock()
+                    .iter()
+                    .filter(|(_, s)| s.state == ImportState::Live && s.weak.upgrade().is_some())
+                    .map(|(w, s)| (*w, s.owner_ep.clone()))
+                    .collect();
                 let mut round_failed: std::collections::HashSet<SpaceId> = Default::default();
                 let mut round_ok: std::collections::HashSet<SpaceId> = Default::default();
                 for (wirerep, ep) in live {

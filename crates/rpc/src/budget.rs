@@ -149,7 +149,7 @@ impl ClientQueue {
 
 struct FairState {
     // Keyed by an attacker-chosen id: std's SipHash map on purpose, NOT
-    // the FibHasher used elsewhere in this crate (see lib.rs).
+    // the client's FibHasher (see lib.rs).
     clients: HashMap<SpaceId, ClientQueue>,
     /// Round-robin ring of clients with at least one queued job; each such
     /// client appears exactly once.

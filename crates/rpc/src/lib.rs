@@ -32,11 +32,11 @@ pub mod pool;
 pub mod resilience;
 pub mod server;
 
-/// A Fibonacci-multiply hasher for the hot-path maps keyed by small
-/// integers (call ids, method numbers). One multiply replaces SipHash's
+/// A Fibonacci-multiply hasher for the client's pending-call map, keyed
+/// by the call ids the client allocates. One multiply replaces SipHash's
 /// several rounds; the golden-ratio constant spreads sequential ids across
 /// the table. Not DoS-resistant — use only for keys the process itself
-/// allocates.
+/// allocates, never for keys a peer chooses.
 #[derive(Default)]
 pub(crate) struct FibHasher(u64);
 
@@ -62,8 +62,6 @@ impl std::hash::Hasher for FibHasher {
 
 pub(crate) type FibHashMap<K, V> =
     std::collections::HashMap<K, V, std::hash::BuildHasherDefault<FibHasher>>;
-pub(crate) type FibHashSet<K> =
-    std::collections::HashSet<K, std::hash::BuildHasherDefault<FibHasher>>;
 
 pub use budget::{ClientUsage, FairAdmit, FairPool, ResourceBudget};
 pub use client::{AckToken, CallClient, CallReply};

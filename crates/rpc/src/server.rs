@@ -261,10 +261,7 @@ impl RpcServer {
         // the event loop instead of per-connection threads. Virtual-clock
         // servers always keep the thread path — the deterministic suites
         // rely on blocking reads interleaving with virtual-time holds.
-        // `NETOBJ_NO_REACTOR` forces the thread path for A/B measurement
-        // (experiment C5) and as an operational escape hatch.
-        let reactor_disabled = std::env::var_os("NETOBJ_NO_REACTOR").is_some();
-        if !reactor_disabled && clock.as_virtual().is_none() && listener.as_pollable().is_some() {
+        if clock.as_virtual().is_none() && listener.as_pollable().is_some() {
             if let Ok(reactor) = Reactor::start(Reactor::DEFAULT_TICK) {
                 let accept = ServerAccept {
                     dispatcher: Arc::clone(&dispatcher),
@@ -502,9 +499,10 @@ impl AckTable {
 
 /// Remembers recently seen request ids on one connection so that a
 /// duplicating channel cannot execute a call twice. Bounded FIFO window.
+/// The peer picks the ids, so the set keeps std's DoS-resistant hasher.
 struct SeenRequests {
     order: std::collections::VecDeque<u64>,
-    set: crate::FibHashSet<u64>,
+    set: std::collections::HashSet<u64>,
 }
 
 impl SeenRequests {
@@ -513,7 +511,7 @@ impl SeenRequests {
     fn new() -> SeenRequests {
         SeenRequests {
             order: std::collections::VecDeque::new(),
-            set: crate::FibHashSet::default(),
+            set: std::collections::HashSet::new(),
         }
     }
 
@@ -547,14 +545,18 @@ pub const INLINE_FAST_MICROS: u64 = 200;
 /// cannot wedge the reader before it has ever been observed. `None` when
 /// the server runs on a virtual clock (inline dispatch would serialise
 /// virtual-time sleeps the deterministic suites expect to overlap).
+///
+/// The peer picks the keys, so the map keeps std's DoS-resistant hasher,
+/// and only calls whose method actually ran are recorded: a peer cycling
+/// through absent objects or methods leaves no entries behind.
 struct FastMethods {
-    verdicts: parking_lot::Mutex<crate::FibHashMap<(u64, u32), bool>>,
+    verdicts: parking_lot::Mutex<std::collections::HashMap<(u64, u32), bool>>,
 }
 
 impl FastMethods {
     fn new() -> FastMethods {
         FastMethods {
-            verdicts: parking_lot::Mutex::new(crate::FibHashMap::default()),
+            verdicts: parking_lot::Mutex::new(std::collections::HashMap::new()),
         }
     }
 
@@ -566,7 +568,12 @@ impl FastMethods {
         *self.verdicts.lock().get(&key).unwrap_or(&false)
     }
 
-    fn observe(&self, key: (u64, u32), service: std::time::Duration) {
+    /// Records a verdict from the call's service time; `None` (the method
+    /// never ran) records nothing.
+    fn observe(&self, key: (u64, u32), service: Option<std::time::Duration>) {
+        let Some(service) = service else {
+            return;
+        };
         let fast = service.as_micros() <= u128::from(INLINE_FAST_MICROS);
         self.verdicts.lock().insert(key, fast);
     }
@@ -591,8 +598,14 @@ struct ConnCtx {
 
 /// Dispatches one request and sends its reply; shared by the worker path
 /// and the reader's inline fast path. Returns the method's service time
-/// (on the connection's clock) for the fast-path classifier.
-fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> std::time::Duration {
+/// (on the connection's clock) for the fast-path classifier, or `None`
+/// when dispatch refused the call before the method ran (no such object
+/// or method, undecodable arguments).
+fn serve_request(
+    ctx: &ConnCtx,
+    rq: Request,
+    enqueued: std::time::Instant,
+) -> Option<std::time::Duration> {
     let clock = &ctx.clock;
     // While the method runs, virtual time must not jump: the caller is
     // waiting on real work the clock cannot see.
@@ -613,6 +626,15 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
     if dispatch.outcome.is_err() {
         ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
     }
+    let ran = !matches!(
+        &dispatch.outcome,
+        Err(e) if matches!(
+            e.kind,
+            RemoteErrorKind::NoSuchObject
+                | RemoteErrorKind::NoSuchMethod
+                | RemoteErrorKind::BadArguments
+        )
+    );
     let needs_ack = dispatch.completion.is_some();
     // Register the completion *before* the reply leaves, so the ack can
     // never race past it.
@@ -629,7 +651,7 @@ fn serve_request(ctx: &ConnCtx, rq: Request, enqueued: std::time::Instant) -> st
         // The caller is gone; run the completion immediately.
         ctx.acks.acknowledge(rq.call_id);
     }
-    after.saturating_duration_since(svc_start)
+    ran.then(|| after.saturating_duration_since(svc_start))
 }
 
 /// Verdict of [`ConnState::handle_frame`]: keep the connection, or tear
@@ -1227,6 +1249,49 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let got = client.call_with_timeout(target(0), 0, vec![], Duration::from_millis(200));
         assert!(got.is_err());
+    }
+
+    #[test]
+    fn calls_to_absent_targets_record_no_fast_path_verdicts() {
+        // A peer cycling through fresh (object, method) pairs that name
+        // nothing must not grow the connection's classifier map.
+        let t = Loopback::new();
+        let l = t.listen(&Endpoint::loopback("srv")).unwrap();
+        let client_conn = t.connect(&Endpoint::loopback("srv")).unwrap();
+        let server_conn: Arc<dyn Conn> = Arc::from(l.accept().unwrap());
+        let absent: Arc<dyn Dispatcher> =
+            Arc::new(|_c: SpaceId, t: WireRep, _m: u32, _a: &[u8]| {
+                Err(RemoteError::new(
+                    RemoteErrorKind::NoSuchObject,
+                    t.ix.0.to_string(),
+                ))
+            });
+        let pool = FairPool::new(2, "test-worker", None, ResourceBudget::unlimited());
+        let mut state = ConnState::new(
+            server_conn,
+            absent,
+            pool,
+            Arc::default(),
+            Arc::default(),
+            ClockHandle::system(),
+        );
+        for n in 0..10_000u64 {
+            let rq = RpcMsg::Request(Request {
+                call_id: n + 1,
+                caller: SpaceId::from_raw(1),
+                target: target(n),
+                method: 0,
+                args: Bytes::new(),
+                trace_id: 0,
+                span_id: 0,
+            });
+            assert_eq!(state.handle_frame(&rq.encode()), Step::Continue);
+            // Every call is answered before the next is sent.
+            client_conn.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        let fast = state.ctx.fast.as_ref().expect("system clock enables it");
+        assert_eq!(fast.verdicts.lock().len(), 0);
+        state.finish();
     }
 
     #[test]
